@@ -15,9 +15,10 @@ reports carry a ``scheme`` field, and prover/verifier resolve the backend
   over a socket (see :mod:`repro.service.server` and ``docs/SERVER.md``).
 * :mod:`repro.attestation.prover` -- the prover device: executes the program
   under the challenged scheme and produces the signed report.
-* :mod:`repro.attestation.verifier` -- the verifier: nonce management,
-  signature checking, scheme-mismatch rejection, and path validation
-  (golden replay, measurement database and structural CFG checks).
+* :mod:`repro.attestation.verifier` -- the verifier: one ordered pipeline of
+  nonce, binding, signature and structural CFG/policy checks
+  (``Verifier.admit``), then path validation against a supplied reference
+  or golden replay (``Verifier.verify``).
 """
 
 from repro.attestation.crypto import SecureKeyStore, sign_report, verify_signature

@@ -11,36 +11,31 @@ Per the protocol (paper §3), the verifier:
 4. checks that the reported path ``P = (A, L)`` corresponds to a valid
    execution of the program's CFG under input ``i``.
 
-Step 4 is implemented in three complementary modes:
+Every report goes through one ordered pipeline.  :meth:`Verifier.admit`
+runs the checks that need no reference: known program, outstanding nonce,
+program and scheme binding, device signature, then (after consuming the
+nonce) the structural CFG checks on ``L`` -- every reported loop entry must
+be the target of a backward edge and iteration counts must be consistent;
+schemes without loop metadata pass vacuously.  An installed
+:class:`repro.dataflow.policy.StaticPolicy` additionally rejects loop
+records outside the statically *proven* loop forest or trip-count intervals
+with ``POLICY_VIOLATION``, so an infeasible report costs no replay.
 
-* **Golden replay** (the default): the verifier, who owns the program binary
-  and chose the input, re-measures the program through the challenged
-  scheme's own :meth:`reference_measurement` and compares the resulting
-  ``(A, L)``.  This is the strongest check and mirrors how C-FLAT/LO-FAT
-  verifiers are evaluated in practice (known-input attestation).
-* **Measurement database**: expected measurements for a set of inputs are
-  precomputed and looked up; useful when the verifier wants O(1) verification
-  cost online.  Keys include the scheme name, so LO-FAT and C-FLAT references
-  for the same (program, input) never collide.
-* **Structural CFG checks**: independent of the input, the metadata ``L`` is
-  validated against the static CFG (every reported loop entry must be the
-  target of a backward edge; path encodings must be consistent with the loop
-  body).  These checks catch malformed metadata and are also applied in the
-  two modes above; schemes without loop metadata pass them trivially.
-
-On top of the structural checks, an installed :class:`repro.dataflow.policy.
-StaticPolicy` pre-screens reports against statically *proven* facts: a loop
-record naming an entry outside the proven loop forest, or an iteration count
-outside the proven trip-count interval, is rejected with
-``POLICY_VIOLATION`` before any simulation or replay is spent on the report.
+:meth:`Verifier.verify` is :meth:`~Verifier.admit` followed by the
+challenged scheme's comparison of ``(A, L)`` against one reference.  The
+reference is either supplied by the caller as data -- an ``(A, serialized
+L)`` pair, typically from :class:`repro.service.MeasurementDatabase`, the
+one reference store -- or, by default, computed by golden replay: the
+verifier, who owns the program binary and chose the input, re-measures the
+program through the scheme's own :meth:`reference_measurement`
+(known-input attestation, as C-FLAT/LO-FAT verifiers are evaluated).
 The offline analysis itself is shared with every other static consumer
 through :func:`repro.dataflow.analyze_program`.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.attestation.crypto import fresh_nonce, verify_signature
 from repro.attestation.protocol import AttestationChallenge, AttestationReport
@@ -93,15 +88,12 @@ class Verifier:
         self._verification_keys: Dict[str, bytes] = {}
         self._outstanding_nonces: Dict[bytes, AttestationChallenge] = {}
         self._used_nonces: set = set()
-        #: (scheme, program_id, inputs) -> (A, serialized L).
-        self._measurement_db: Dict[
-            Tuple[str, str, Tuple[int, ...]], Tuple[bytes, bytes]
-        ] = {}
         #: Memoised structural verdicts keyed by (program_id, serialized L).
         #: A standing verifier sees the same benign metadata thousands of
         #: times; the CFG checks are pure in the program analysis, the
         #: installed policy and the metadata bytes, so each distinct L is
-        #: checked once (the cache is cleared when a policy is installed).
+        #: checked once (the cache is cleared when a policy is installed or
+        #: a program id is re-registered under another binary).
         self._structural_cache: Dict[Tuple[str, bytes], VerificationResult] = {}
         #: Per-program StaticPolicy artifacts enforced before replay/lookup.
         self._policies: Dict[str, StaticPolicy] = {}
@@ -115,8 +107,17 @@ class Verifier:
         registering the same binary again (under any id, on any Verifier
         instance) is an O(lookup) operation and the dataflow passes are
         computed at most once per binary.
+
+        Re-registering ``program_id`` under a different binary drops the
+        policy installed for the old image and the memoised structural
+        verdicts: facts proven about one image say nothing about another.
         """
         knowledge = analyze_program(program)
+        previous = self._programs.get(program_id)
+        if (previous is not None
+                and previous.program.digest != knowledge.program.digest):
+            self._policies.pop(program_id, None)
+            self._structural_cache.clear()
         self._programs[program_id] = knowledge
         return knowledge
 
@@ -181,85 +182,6 @@ class Verifier:
             self._scheme_configs[scheme] = config
         return config
 
-    def precompute_measurement(
-        self, program_id: str, inputs: Sequence[int], scheme: str = "lofat"
-    ) -> Tuple[bytes, bytes]:
-        """Populate the measurement database for (scheme, program, input).
-
-        Returns the expected ``(A, serialized L)`` pair.
-        """
-        measurement = self._reference_measurement(program_id, inputs, scheme)
-        key = (scheme, program_id, tuple(inputs))
-        self._measurement_db[key] = (
-            measurement.measurement, measurement.metadata.to_bytes(),
-        )
-        return self._measurement_db[key]
-
-    def seed_measurement(
-        self,
-        program_id: str,
-        inputs: Sequence[int],
-        measurement: bytes,
-        metadata_bytes: bytes,
-        scheme: str = "lofat",
-    ) -> None:
-        """Install an externally computed reference ``(A, serialized L)``.
-
-        The campaign service uses this to share one
-        :class:`repro.service.MeasurementDatabase` across verifier instances:
-        the database computes (or looks up) the expected measurement keyed by
-        scheme, program digest and configuration, then seeds it here so
-        :meth:`verify` in ``"database"`` mode is a pure lookup.
-        """
-        self._measurement_db[(scheme, program_id, tuple(inputs))] = (
-            measurement,
-            metadata_bytes,
-        )
-
-    def export_measurement_database(self) -> str:
-        """Serialise the measurement database to JSON (for persistence).
-
-        The database contains only public reference values (expected A and L
-        per known input), so it can be stored or shared freely.
-        """
-        entries = [
-            {
-                "scheme": scheme,
-                "program_id": program_id,
-                "inputs": list(inputs),
-                "measurement": measurement.hex(),
-                "metadata": metadata.hex(),
-            }
-            for (scheme, program_id, inputs), (measurement, metadata)
-            in sorted(self._measurement_db.items())
-        ]
-        return json.dumps({"version": 1, "entries": entries}, indent=2)
-
-    def import_measurement_database(self, payload: str) -> int:
-        """Load a database previously produced by :meth:`export_measurement_database`.
-
-        Returns the number of imported entries.  Entries for unregistered
-        programs are imported as well (the program may be registered later);
-        existing entries with the same key are overwritten.  Entries written
-        before the scheme field existed default to ``"lofat"``.
-        """
-        document = json.loads(payload)
-        if document.get("version") != 1:
-            raise ValueError("unsupported measurement database version")
-        count = 0
-        for entry in document.get("entries", []):
-            key = (
-                str(entry.get("scheme", "lofat")),
-                entry["program_id"],
-                tuple(int(v) for v in entry["inputs"]),
-            )
-            self._measurement_db[key] = (
-                bytes.fromhex(entry["measurement"]),
-                bytes.fromhex(entry["metadata"]),
-            )
-            count += 1
-        return count
-
     # ----------------------------------------------------------- protocol
     def challenge(
         self, program_id: str, inputs: Sequence[int], scheme: str = "lofat"
@@ -286,9 +208,9 @@ class Verifier:
     ) -> Optional[AttestationChallenge]:
         """The challenge an unanswered ``nonce`` belongs to, or None.
 
-        The attestation server uses this to find what a report answers for
-        (and thus which reference to warm) without reaching into the nonce
-        table; it does not consume the nonce.
+        The attestation server uses this to tell whether verifying a report
+        consumed its nonce without reaching into the nonce table; it does
+        not consume the nonce.
         """
         return self._outstanding_nonces.get(nonce)
 
@@ -307,17 +229,18 @@ class Verifier:
         self._used_nonces.add(nonce)
         return True
 
-    def verify(
-        self,
-        report: AttestationReport,
-        device_id: str = "prover-0",
-        mode: str = "replay",
-    ) -> VerificationResult:
-        """Check an attestation report.
+    def admit(
+        self, report: AttestationReport, device_id: str = "prover-0"
+    ) -> Union[AttestationChallenge, VerificationResult]:
+        """Run every check that needs no reference measurement.
 
-        ``mode`` selects how the measurement itself is validated:
-        ``"replay"`` (golden replay), ``"database"`` (precomputed
-        measurements) or ``"structural"`` (CFG checks only).
+        In order: known program, outstanding (or already used) nonce,
+        program and scheme binding, known scheme, device signature; then the
+        nonce is consumed and ``L`` is checked against the CFG and the
+        installed policy (memoised per distinct ``L``).  Returns the
+        consumed challenge when the report is admitted, otherwise the
+        rejecting :class:`VerificationResult`.  Only an admitted report is
+        worth a reference lookup or replay.
         """
         if report.program_id not in self._programs:
             return VerificationResult(False, VerdictReason.UNKNOWN_PROGRAM)
@@ -350,7 +273,7 @@ class Verifier:
                 % (challenge.scheme, report.scheme),
             )
         try:
-            scheme = get_scheme(report.scheme)
+            get_scheme(report.scheme)
         except KeyError:
             return VerificationResult(
                 False, VerdictReason.SCHEME_MISMATCH,
@@ -378,25 +301,29 @@ class Verifier:
             self._structural_cache[cache_key] = structural
         if not structural.accepted:
             return structural
+        return challenge
 
-        if mode == "structural":
-            return VerificationResult(True, VerdictReason.ACCEPTED,
-                                      "structural checks only")
-        if mode == "database":
-            expected = self._measurement_db.get(
-                (report.scheme, report.program_id, tuple(challenge.inputs))
-            )
-            if expected is None:
-                return VerificationResult(False, VerdictReason.NO_REFERENCE)
-            return scheme.verify(report, expected)
+    def verify(
+        self,
+        report: AttestationReport,
+        device_id: str = "prover-0",
+        reference: Optional[Tuple[bytes, bytes]] = None,
+    ) -> VerificationResult:
+        """Check an attestation report: :meth:`admit`, then compare.
 
-        # Golden replay through the scheme's own reference measurement.
-        reference = self._reference_measurement(
-            report.program_id, challenge.inputs, report.scheme
-        )
-        return scheme.verify(
-            report, (reference.measurement, reference.metadata.to_bytes())
-        )
+        ``reference`` is the expected ``(A, serialized L)`` for the
+        challenged execution (e.g. from a
+        :class:`repro.service.MeasurementDatabase`); when omitted, it is
+        computed by golden replay of the challenged input.
+        """
+        admission = self.admit(report, device_id)
+        if isinstance(admission, VerificationResult):
+            return admission
+        if reference is None:
+            measured = self._reference_measurement(
+                report.program_id, admission.inputs, report.scheme)
+            reference = (measured.measurement, measured.metadata.to_bytes())
+        return get_scheme(report.scheme).verify(report, reference)
 
     # -------------------------------------------------------------- internals
     def _reference_measurement(

@@ -1122,8 +1122,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         target.add_argument(
             "--verify-mode", default=None,
-            choices=["database", "replay", "structural"],
-            help="override the spec's verification mode",
+            choices=["database", "replay"],
+            help="override the spec's reference source (measurement "
+                 "database or golden replay)",
         )
         target.add_argument(
             "--scheme", default=None, metavar="NAMES",

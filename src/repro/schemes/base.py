@@ -62,7 +62,6 @@ class VerdictReason(enum.Enum):
     METADATA_MISMATCH = "metadata_mismatch"
     METADATA_CFG_VIOLATION = "metadata_cfg_violation"
     POLICY_VIOLATION = "policy_violation"
-    NO_REFERENCE = "no_reference_measurement"
 
 
 @dataclass

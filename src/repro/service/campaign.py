@@ -188,9 +188,9 @@ class CampaignSpec:
     attacks: List[str] = field(default_factory=list)
     include_benign: bool = True
     repeats: int = 1
-    #: How the verifier validates measurements: "database" (measurement
-    #: database backed, O(lookup) on repeats), "replay" (golden replay every
-    #: time) or "structural" (CFG checks only).
+    #: Where the verifier's reference measurement comes from: "database"
+    #: (measurement database backed, O(lookup) on repeats) or "replay"
+    #: (golden replay every time).
     verify_mode: str = "database"
     #: Attestation schemes to sweep; every job population is repeated once
     #: per scheme.
@@ -208,9 +208,9 @@ class CampaignSpec:
             raise CampaignSpecError("campaign name must be non-empty")
         if self.repeats < 1:
             raise CampaignSpecError("repeats must be >= 1")
-        if self.verify_mode not in ("database", "replay", "structural"):
+        if self.verify_mode not in ("database", "replay"):
             raise CampaignSpecError(
-                "unknown verify_mode %r (expected database/replay/structural)"
+                "unknown verify_mode %r (expected database or replay)"
                 % self.verify_mode
             )
         if self.engine is not None and self.engine not in (

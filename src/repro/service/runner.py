@@ -589,7 +589,10 @@ class CampaignRunner:
     ) -> JobResult:
         verifier = verifiers[(job.scheme, job.config_name)]
         cache_hit: Optional[bool] = None
+        reference: Optional[Tuple[bytes, bytes]] = None
         if spec.verify_mode == "database":
+            # Looked up outside Verifier.verify, so a cold reference is not
+            # charged to the verification itself.
             capture = (reference_captures or {}).get(job.job_id)
             measurement, metadata_bytes, cache_hit = self.database.lookup_or_compute(
                 programs[job.workload],
@@ -600,12 +603,9 @@ class CampaignRunner:
                 capture=capture,
                 config_digest=job.scheme_config_digest(),
             )
-            verifier.seed_measurement(
-                job.workload, job.inputs, measurement, metadata_bytes,
-                scheme=job.scheme,
-            )
+            reference = (measurement, metadata_bytes)
         verdict = verifier.verify(
-            response.report, device_id=self.device_id, mode=spec.verify_mode,
+            response.report, device_id=self.device_id, reference=reference,
         )
         report = response.report
         return JobResult(

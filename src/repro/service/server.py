@@ -47,9 +47,9 @@ from repro.attestation.framing import (
     read_frame,
     write_frame,
 )
-from repro.attestation.crypto import SecureKeyStore, verify_signature
+from repro.attestation.crypto import SecureKeyStore
 from repro.attestation.protocol import AttestationReport
-from repro.attestation.verifier import Verifier
+from repro.attestation.verifier import VerificationResult, Verifier
 from repro.cpu.core import CpuConfig
 from repro.schemes import get_scheme
 from repro.schemes.registry import (
@@ -417,38 +417,22 @@ class AttestationServer:
         return measurement, metadata
 
     async def _verify_report(self, report: AttestationReport, device_id: str):
-        """Verify one report against the shared database (seeding on demand).
+        """Verify one report: admission, then the shared database's reference.
 
         The expensive part -- computing a cold reference -- only runs for a
-        report that is *bound to an outstanding challenge and carries a
-        valid device signature*.  Anything else (garbage signatures, stale
-        nonces, mismatched tags) reaches the verifier's fail-closed checks
-        without costing a simulation or a database entry, so a hostile
-        client cannot drive unbounded reference computation.
+        report the verifier *admitted*: bound to an outstanding challenge,
+        validly signed by the device and structurally (and policy-) sound.
+        Anything else (garbage signatures, stale nonces, mismatched tags,
+        infeasible loop metadata) is rejected without costing a simulation
+        or a database entry, so a hostile client cannot drive unbounded
+        reference computation.
         """
-        challenge = self.verifier.outstanding_challenge(report.nonce)
-        if (
-            challenge is not None
-            and challenge.scheme == report.scheme
-            and challenge.program_id == report.program_id
-            and verify_signature(
-                report.payload, report.nonce, report.signature,
-                SecureKeyStore(device_id=device_id).export_for_verifier(),
-            )
-        ):
-            try:
-                expected = await self._expected_measurement(
-                    challenge.scheme, challenge.program_id,
-                    tuple(challenge.inputs),
-                )
-            except SchemeNotFoundError:
-                expected = None
-            if expected is not None:
-                self.verifier.seed_measurement(
-                    challenge.program_id, challenge.inputs,
-                    expected[0], expected[1], scheme=challenge.scheme,
-                )
-        return self.verifier.verify(report, device_id=device_id, mode="database")
+        admission = self.verifier.admit(report, device_id)
+        if isinstance(admission, VerificationResult):
+            return admission
+        expected = await self._expected_measurement(
+            admission.scheme, admission.program_id, tuple(admission.inputs))
+        return get_scheme(report.scheme).verify(report, expected)
 
     # ------------------------------------------------------------ connection
     async def _handle_connection(

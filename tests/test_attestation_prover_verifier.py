@@ -5,6 +5,7 @@ import pytest
 from repro.attestation import Prover, Verifier
 from repro.attestation.verifier import VerdictReason
 from repro.lofat.metadata import LoopMetadata
+from repro.schemes import get_scheme
 from repro.workloads import get_workload
 
 
@@ -37,25 +38,41 @@ class TestHappyPath:
         report = prover.attest(challenge)
         assert report.output == pump.expected_output
 
-    def test_database_mode(self, protocol_setup):
-        _, fig4, _, prover, verifier = protocol_setup
-        verifier.precompute_measurement(fig4.name, fig4.inputs)
+    def test_supplied_reference(self, protocol_setup):
+        _, fig4, programs, prover, verifier = protocol_setup
+        reference = get_scheme("lofat").reference_measurement(
+            programs[fig4.name], fig4.inputs)
         challenge = verifier.challenge(fig4.name, fig4.inputs)
         report = prover.attest(challenge)
-        assert verifier.verify(report, device_id="device-7", mode="database").accepted
+        assert verifier.verify(
+            report, device_id="device-7",
+            reference=(reference.measurement, reference.metadata.to_bytes()),
+        ).accepted
 
-    def test_database_mode_without_reference(self, protocol_setup):
-        _, fig4, _, prover, verifier = protocol_setup
-        challenge = verifier.challenge(fig4.name, [9])
-        report = prover.attest(challenge)
-        verdict = verifier.verify(report, device_id="device-7", mode="database")
-        assert verdict.reason is VerdictReason.NO_REFERENCE
+    def test_supplied_reference_replaces_golden_replay(
+            self, protocol_setup, monkeypatch):
+        _, fig4, programs, prover, verifier = protocol_setup
+        scheme = get_scheme("lofat")
+        reference = scheme.reference_measurement(programs[fig4.name], fig4.inputs)
 
-    def test_structural_mode_accepts_benign(self, protocol_setup):
+        def no_replay(*args, **kwargs):
+            raise AssertionError("golden replay ran despite a reference")
+
+        monkeypatch.setattr(type(scheme), "reference_measurement", no_replay)
+        report = prover.attest(verifier.challenge(fig4.name, fig4.inputs))
+        assert verifier.verify(
+            report, device_id="device-7",
+            reference=(reference.measurement, reference.metadata.to_bytes()),
+        ).accepted
+
+    def test_admit_returns_consumed_challenge(self, protocol_setup):
         _, fig4, _, prover, verifier = protocol_setup
         challenge = verifier.challenge(fig4.name, fig4.inputs)
         report = prover.attest(challenge)
-        assert verifier.verify(report, device_id="device-7", mode="structural").accepted
+        assert verifier.admit(report, device_id="device-7") == challenge
+        assert verifier.outstanding_challenge(challenge.nonce) is None
+        verdict = verifier.verify(report, device_id="device-7")
+        assert verdict.reason is VerdictReason.NONCE_REUSED
 
     def test_different_inputs_give_different_measurements(self, protocol_setup):
         _, fig4, _, prover, verifier = protocol_setup
@@ -105,6 +122,15 @@ class TestRejections:
         report = prover.attest(challenge)
         report.signature = bytes(32)
         assert verifier.verify(report).reason is VerdictReason.BAD_SIGNATURE
+
+    def test_rejected_admission_leaves_challenge_outstanding(self, protocol_setup):
+        pump, _, _, prover, verifier = protocol_setup
+        challenge = verifier.challenge(pump.name, pump.inputs)
+        report = prover.attest(challenge)
+        report.signature = bytes(32)
+        verdict = verifier.admit(report, device_id="device-7")
+        assert verdict.reason is VerdictReason.BAD_SIGNATURE
+        assert verifier.outstanding_challenge(challenge.nonce) == challenge
 
     def test_unknown_device_key_rejected(self, protocol_setup):
         pump, _, _, prover, verifier = protocol_setup

@@ -20,6 +20,15 @@ class TestParser:
         assert args.inputs is None
 
 
+    def test_verify_mode_offers_database_and_replay_only(self, capsys):
+        args = build_parser().parse_args(["campaign", "--verify-mode", "replay"])
+        assert args.verify_mode == "replay"
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["campaign", "--verify-mode", "structural"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 class TestEngineFlags:
     @pytest.mark.parametrize("command", [
         ["run", "crc32"],

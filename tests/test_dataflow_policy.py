@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attestation import Prover, Verifier
-from repro.attestation.verifier import VerdictReason
+from repro.attestation.protocol import AttestationChallenge
+from repro.attestation.verifier import VerdictReason, VerificationResult
 from repro.dataflow import (
     StaticPolicy,
     analyze_program,
@@ -177,7 +178,7 @@ class TestVerifierPolicyScreen:
         assert not verdict.accepted
         assert verdict.reason is VerdictReason.POLICY_VIOLATION
 
-    def test_policy_screen_applies_in_every_mode(self, protocol):
+    def test_policy_screen_applies_to_every_reference_source(self, protocol):
         workload, program, prover, verifier = protocol
         scheme = get_scheme("lofat")
         _, measurement = scheme.measure_execution(
@@ -189,18 +190,26 @@ class TestVerifierPolicyScreen:
             analyze_program(program).policy.with_bound(
                 target.entry, 0, target.iterations - 1),
         )
-        for mode in ("replay", "structural"):
-            report = _attest(workload, prover, verifier)
-            verdict = verifier.verify(
-                report, device_id="device-1", mode=mode)
-            assert verdict.reason is VerdictReason.POLICY_VIOLATION, mode
+        reference = (measurement.measurement, measurement.metadata.to_bytes())
+        checks = {
+            "replay": lambda report: verifier.verify(
+                report, device_id="device-1"),
+            "reference": lambda report: verifier.verify(
+                report, device_id="device-1", reference=reference),
+            "admit": lambda report: verifier.admit(
+                report, device_id="device-1"),
+        }
+        for name, check in checks.items():
+            verdict = check(_attest(workload, prover, verifier))
+            assert isinstance(verdict, VerificationResult), name
+            assert verdict.reason is VerdictReason.POLICY_VIOLATION, name
 
     def test_install_policy_clears_memoised_verdicts(self, protocol):
         """A structural verdict cached before install must not leak through."""
         workload, program, prover, verifier = protocol
         report = _attest(workload, prover, verifier)
-        assert verifier.verify(
-            report, device_id="device-1", mode="structural").accepted
+        assert isinstance(
+            verifier.admit(report, device_id="device-1"), AttestationChallenge)
 
         scheme = get_scheme("lofat")
         _, measurement = scheme.measure_execution(
@@ -213,9 +222,31 @@ class TestVerifierPolicyScreen:
                 target.entry, 0, target.iterations - 1),
         )
         second = _attest(workload, prover, verifier)
-        verdict = verifier.verify(
-            second, device_id="device-1", mode="structural")
+        verdict = verifier.admit(second, device_id="device-1")
         assert verdict.reason is VerdictReason.POLICY_VIOLATION
+
+    def test_reregistering_another_binary_drops_policy(self, protocol):
+        """Facts proven about one image must not be enforced on another."""
+        workload, program, _, verifier = protocol
+        verifier.install_policy(workload.name)
+        verifier.register_program(workload.name, program)
+        assert verifier.installed_policy(workload.name) is not None
+        verifier.register_program(
+            workload.name, get_workload("syringe_pump").build())
+        assert verifier.installed_policy(workload.name) is None
+
+    def test_reregistering_another_binary_drops_memoised_verdicts(
+            self, protocol):
+        workload, _, prover, verifier = protocol
+        assert verifier.verify(
+            _attest(workload, prover, verifier), device_id="device-1").accepted
+        verifier.register_program(
+            workload.name, get_workload("syringe_pump").build())
+        # The prover still runs figure4_loop: its loop entry is no backward
+        # edge target of the new image, so the memoised acceptance must go.
+        verdict = verifier.verify(
+            _attest(workload, prover, verifier), device_id="device-1")
+        assert verdict.reason is VerdictReason.METADATA_CFG_VIOLATION
 
     def test_install_policy_guards(self, protocol):
         workload, program, _, verifier = protocol

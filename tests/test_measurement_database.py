@@ -1,10 +1,9 @@
-"""Tests for measurement-database precomputation, export and import."""
-
-import json
+"""Tests for verifying against references from the measurement database."""
 
 import pytest
 
 from repro.attestation import Prover, Verifier
+from repro.service import MeasurementDatabase
 from repro.workloads import get_workload
 
 
@@ -21,49 +20,18 @@ def setup():
 
 class TestMeasurementDatabase:
     def test_precompute_matches_prover_report(self, setup):
-        workload, _, prover, verifier = setup
-        expected_a, expected_l = verifier.precompute_measurement(workload.name, [5])
+        workload, program, prover, verifier = setup
+        expected_a, expected_l, _ = MeasurementDatabase().lookup_or_compute(
+            program, (5,))
         report = prover.attest(verifier.challenge(workload.name, [5]))
         assert report.measurement == expected_a
         assert report.metadata.to_bytes() == expected_l
 
-    def test_export_import_roundtrip(self, setup):
+    def test_database_reference_rejects_other_input(self, setup):
         workload, program, prover, verifier = setup
-        for iterations in (3, 5, 8):
-            verifier.precompute_measurement(workload.name, [iterations])
-        payload = verifier.export_measurement_database()
-
-        fresh = Verifier()
-        fresh.register_program(workload.name, program)
-        fresh.register_device_key("prover-0", prover.keystore.export_for_verifier())
-        assert fresh.import_measurement_database(payload) == 3
-
-        report = prover.attest(fresh.challenge(workload.name, [5]))
-        assert fresh.verify(report, mode="database").accepted
-
-    def test_export_is_valid_json_with_hex_values(self, setup):
-        workload, _, _, verifier = setup
-        verifier.precompute_measurement(workload.name, [4])
-        document = json.loads(verifier.export_measurement_database())
-        assert document["version"] == 1
-        entry = document["entries"][0]
-        assert entry["program_id"] == workload.name
-        assert len(bytes.fromhex(entry["measurement"])) == 64
-
-    def test_import_rejects_unknown_version(self, setup):
-        *_, verifier = setup
-        with pytest.raises(ValueError):
-            verifier.import_measurement_database(json.dumps({"version": 99, "entries": []}))
-
-    def test_database_mode_rejects_other_input(self, setup):
-        workload, _, prover, verifier = setup
-        verifier.precompute_measurement(workload.name, [5])
-        # Attest a different input: no reference entry exists for it.
+        expected_a, expected_l, _ = MeasurementDatabase().lookup_or_compute(
+            program, (5,))
+        # Attest a different input against the reference for input 5.
         report = prover.attest(verifier.challenge(workload.name, [6]))
-        verdict = verifier.verify(report, mode="database")
+        verdict = verifier.verify(report, reference=(expected_a, expected_l))
         assert not verdict.accepted
-
-    def test_empty_database_exports(self, setup):
-        *_, verifier = setup
-        document = json.loads(verifier.export_measurement_database())
-        assert document["entries"] == []

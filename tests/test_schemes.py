@@ -19,6 +19,7 @@ from repro.schemes import (
     get_scheme,
     scheme_names,
 )
+from repro.service import MeasurementDatabase
 from repro.workloads import get_workload
 
 
@@ -237,24 +238,25 @@ class TestSchemeProtocol:
 
     @pytest.mark.parametrize("scheme", ["lofat", "cflat", "static"])
     def test_database_mode_per_scheme(self, protocol_parts, scheme):
-        workload, _, prover, verifier = protocol_parts
-        verifier.precompute_measurement(workload.name, workload.inputs,
-                                        scheme=scheme)
+        workload, program, prover, verifier = protocol_parts
+        measurement, metadata, _ = MeasurementDatabase().lookup_or_compute(
+            program, workload.inputs, scheme=scheme)
         challenge = verifier.challenge(workload.name, workload.inputs,
                                        scheme=scheme)
         report = prover.attest(challenge)
-        assert verifier.verify(report, mode="database").accepted
+        assert verifier.verify(report, reference=(measurement, metadata)).accepted
 
     def test_database_references_do_not_cross_schemes(self, protocol_parts):
         """A lofat reference must not satisfy a cflat lookup."""
-        workload, _, prover, verifier = protocol_parts
-        verifier.precompute_measurement(workload.name, workload.inputs,
-                                        scheme="lofat")
-        challenge = verifier.challenge(workload.name, workload.inputs,
-                                       scheme="cflat")
-        report = prover.attest(challenge)
-        verdict = verifier.verify(report, mode="database")
-        assert verdict.reason is VerdictReason.NO_REFERENCE
+        workload, program, _, _ = protocol_parts
+        database = MeasurementDatabase()
+        database.lookup_or_compute(program, workload.inputs, scheme="lofat")
+        assert database.lookup(
+            program, workload.inputs, get_scheme("lofat").default_config(),
+            scheme="lofat") is not None
+        assert database.lookup(
+            program, workload.inputs, get_scheme("cflat").default_config(),
+            scheme="cflat") is None
 
     def test_scheme_mismatch_fails_closed(self, protocol_parts):
         """A report answering with a different scheme than challenged must be

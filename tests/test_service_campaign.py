@@ -236,10 +236,16 @@ class TestSpecValidation:
             spec.validate()
 
     def test_bad_verify_mode(self):
-        spec = CampaignSpec(name="x", workloads=[WorkloadSelection("crc32")],
-                            verify_mode="psychic")
-        with pytest.raises(CampaignSpecError, match="verify_mode"):
-            spec.validate()
+        # "structural" would accept any well-formed L without comparing A:
+        # a spec document naming it must fail closed.
+        for mode in ("psychic", "structural"):
+            spec = CampaignSpec(name="x", workloads=[WorkloadSelection("crc32")],
+                                verify_mode=mode)
+            with pytest.raises(CampaignSpecError, match="verify_mode"):
+                spec.validate()
+            with pytest.raises(CampaignSpecError, match="verify_mode"):
+                CampaignSpec.from_dict({"name": "x", "workloads": ["crc32"],
+                                        "verify_mode": mode})
 
 
 class TestExpansion:

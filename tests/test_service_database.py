@@ -221,7 +221,7 @@ class TestPersistence:
 
 
 class TestVerifierIntegration:
-    def test_seeded_verifier_accepts_database_mode(self, figure4):
+    def test_database_reference_is_accepted(self, figure4):
         workload, program = figure4
         database = MeasurementDatabase()
         prover = Prover({workload.name: program})
@@ -231,22 +231,20 @@ class TestVerifierIntegration:
             "prover-0", prover.keystore.export_for_verifier())
 
         measurement, metadata, _ = database.lookup_or_compute(program, (5,))
-        verifier.seed_measurement(workload.name, (5,), measurement, metadata)
 
         report = prover.attest(verifier.challenge(workload.name, [5]))
-        assert verifier.verify(report, mode="database").accepted
+        assert verifier.verify(report, reference=(measurement, metadata)).accepted
 
-    def test_seeded_verifier_rejects_wrong_measurement(self, figure4):
+    def test_wrong_reference_is_rejected(self, figure4):
         workload, program = figure4
         prover = Prover({workload.name: program})
         verifier = Verifier()
         verifier.register_program(workload.name, program)
         verifier.register_device_key(
             "prover-0", prover.keystore.export_for_verifier())
-        verifier.seed_measurement(workload.name, (5,), b"\x00" * 64, b"")
 
         report = prover.attest(verifier.challenge(workload.name, [5]))
-        verdict = verifier.verify(report, mode="database")
+        verdict = verifier.verify(report, reference=(b"\x00" * 64, b""))
         assert not verdict.accepted
         assert verdict.reason.value == "measurement_mismatch"
 

@@ -54,13 +54,6 @@ class TestSequentialExecution:
         assert len(database) == 0
         assert all(r.cache_hit is None for r in result.results)
 
-    def test_structural_mode(self):
-        spec = CampaignSpec(name="structural",
-                            workloads=[WorkloadSelection("figure4_loop")],
-                            verify_mode="structural")
-        result = CampaignRunner().run(spec)
-        assert result.ok
-
 
 class TestParallelExecution:
     def test_parallel_results_identical_to_sequential(self, small_spec):

@@ -422,6 +422,77 @@ class TestVerification:
         assert sessions == 0
         assert entries == 0
 
+    def test_policy_violations_cannot_drive_reference_computation(self):
+        """Validly signed reports that break the installed StaticPolicy are
+        rejected before any reference simulation or database entry."""
+        from dataclasses import replace
+
+        from repro.attestation.crypto import SecureKeyStore, sign_report
+        from repro.lofat.metadata import LoopMetadata, LoopRecord
+
+        keystore = SecureKeyStore(device_id="prover-0")
+
+        async def scenario(server):
+            client = await connected_client(server)
+            verdicts = []
+            for index in range(5):
+                challenge = await client.request_challenge(
+                    WORKLOAD, [index], "lofat")
+                # 0x4 is no entry of figure4_loop's proven loop forest.
+                metadata = LoopMetadata()
+                metadata.add(LoopRecord(entry=0x4, exit_node=0x8, depth=1,
+                                        iterations=0))
+                unsigned = AttestationReport(
+                    program_id=challenge.program_id,
+                    measurement=b"\x00" * 64,
+                    metadata=metadata,
+                    nonce=challenge.nonce,
+                    signature=b"",
+                    scheme="lofat",
+                )
+                report = replace(unsigned, signature=sign_report(
+                    unsigned.payload, challenge.nonce, keystore))
+                verdicts.append((await client.submit_report(report)).reason)
+            await client.close()
+            return verdicts, server.pool.sessions_opened, len(server.database)
+        verdicts, sessions, entries = serve(scenario)
+        assert verdicts == ["policy_violation"] * 5
+        assert sessions == 0
+        assert entries == 0
+
+    def test_each_report_checks_its_signature_once(self, monkeypatch):
+        """Fresh reports cost one HMAC each; a resubmission costs none."""
+        import sys
+
+        from repro.attestation import crypto
+
+        calls = []
+        original = crypto.verify_signature
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        # Every module that bound the function by name, wherever it checks.
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("repro")
+                    and getattr(module, "verify_signature", None) is original):
+                monkeypatch.setattr(module, "verify_signature", counted)
+
+        async def scenario(server):
+            client = await connected_client(server)
+            verdicts = []
+            for scheme in ("lofat", "cflat", "static"):
+                report, verdict = await client.attest_round(
+                    WORKLOAD, None, scheme)
+                verdicts.append(verdict.reason)
+            verdicts.append((await client.submit_report(report)).reason)
+            await client.close()
+            return verdicts
+        verdicts = serve(scenario)
+        assert verdicts == ["accepted"] * 3 + ["nonce_reused"]
+        assert len(calls) == 3
+
     def test_batched_session_preserves_order_and_verdicts(self):
         async def scenario(server):
             client = await connected_client(server)
